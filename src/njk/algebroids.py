@@ -21,6 +21,7 @@ from .scalars import (
     ZERO,
     canonical,
     combine_results,
+    diff,
     is_zero,
 )
 from .tensors import Chart, VVForm, coordinate_field, lie_bracket, lie_derivative
@@ -263,13 +264,13 @@ class IMTriple:
             ug = A.frame_section(g)
             ell_ug = self.apply_ell(ug)
             for i, xi in enumerate(A.base.coords):
-                df_i = sp.diff(f, xi)
+                df_i = diff(f, xi)
                 term = self.frame_action[g].values[i] * f
                 if df_i != 0:
                     term = term + ell_ug * df_i
                 # <df, T^M>_i = sum_k d_k(f) T^k_i
                 pairing = sp.Add(
-                    *[sp.diff(f, A.base.coords[k]) * tm[k][i] for k in range(n)]
+                    *[diff(f, A.base.coords[k]) * tm[k][i] for k in range(n)]
                 )
                 if pairing != 0:
                     term = term - ug * pairing
@@ -300,8 +301,8 @@ def bracket_sections(A: AlgebroidData, a: Section, b: Section) -> Section:
                         - a.components[be] * b.components[al]
                     )
         for i, xi in enumerate(A.base.coords):
-            acc = acc + rho_a[i] * sp.diff(b.components[g], xi)
-            acc = acc - rho_b[i] * sp.diff(a.components[g], xi)
+            acc = acc + rho_a[i] * diff(b.components[g], xi)
+            acc = acc - rho_b[i] * diff(a.components[g], xi)
         out.append(acc)
     return Section.make(out)
 
@@ -320,10 +321,10 @@ def check_lie_algebroid(A: AlgebroidData, config: Config = DEFAULT_CONFIG) -> Ch
         for be in range(al + 1, r):
             lhs = A.anchor_of(bracket_sections(A, frames[al], frames[be]))
             rhs = lie_bracket(A.anchor_of(frames[al]), A.anchor_of(frames[be]))
-            diff = lhs - rhs
+            residual = lhs - rhs
             report.add(
                 f"anchor_morphism[{al},{be}]",
-                combine_results(is_zero(c, config) for c in diff.as_vector()),
+                combine_results(is_zero(c, config) for c in residual.as_vector()),
             )
     for al in range(r):
         for be in range(al + 1, r):
@@ -353,7 +354,7 @@ def deformed_structure(N: VVForm, name: str | None = None) -> AlgebroidData:
     for i in range(n):
         for j in range(i + 1, n):
             c[(i, j)] = tuple(
-                sp.diff(m[k][j], chart.coords[i]) - sp.diff(m[k][i], chart.coords[j])
+                diff(m[k][j], chart.coords[i]) - diff(m[k][i], chart.coords[j])
                 for k in range(n)
             )
     return AlgebroidData(name or f"(T{chart.name})_N", chart, n, m, c)
@@ -433,10 +434,10 @@ def im_check(A: AlgebroidData, triple: IMTriple, config: Config = DEFAULT_CONFIG
             rhs = lie_der_avalued1(A, frames[al], triple.frame_action[be]) - lie_der_avalued1(
                 A, frames[be], triple.frame_action[al]
             )
-            diff = lhs - rhs
+            residual = lhs - rhs
             report.add(
                 f"D_bracket[{al},{be}]",
-                combine_results(is_zero(c, config) for c in diff.entries()),
+                combine_results(is_zero(c, config) for c in residual.entries()),
             )
             lhs2 = triple.apply_ell(bracket)
             rhs2 = bracket_sections(A, frames[al], triple.apply_ell(frames[be]))

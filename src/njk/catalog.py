@@ -39,6 +39,7 @@ from .scalars import (
     VerificationResult,
     ZERO,
     canonical,
+    diff,
     is_zero,
     parse,
     register_builtin,
@@ -283,7 +284,7 @@ def flow_groupoid(F_text: str = "th", phi_text: str | None = None,
     def phi(e: Scalar, x: Scalar) -> Scalar:
         return canonical(phi_g.xreplace({ep: sp.sympify(e), gth: sp.sympify(x)}))
 
-    flow_eq = sp.diff(phi_g, ep) - F.xreplace({th: phi_g})
+    flow_eq = diff(phi_g, ep) - F.xreplace({th: phi_g})
     res = is_zero(flow_eq, Config(samples=25, tol=1e-9, seed=1))
     if res.decided and not res.holds:
         raise ValueError(f"flow equation fails: {res}")
@@ -319,7 +320,7 @@ def flow_groupoid(F_text: str = "th", phi_text: str | None = None,
     )
     F_on_G = F.xreplace({th: gth})
     F_of_phi = F.xreplace({th: phi_g})
-    dphi_dth = sp.diff(phi_g, gth)
+    dphi_dth = diff(phi_g, gth)
     right = _vv(G, {((0,), 0): F_of_phi, ((1,), 0): dphi_dth})
     left = _vv(G, {((1,), 0): sp.Integer(-1), ((1,), 1): F_on_G})
     delta = _vv(G, {((0,), 0): F_of_phi, ((1,), 0): dphi_dth - 1, ((1,), 1): F_on_G})
@@ -812,7 +813,7 @@ def _prelie_expected(dim, Gc, Lg, k, N):
     right = {}
     for p in range(dim):
         for col in range(2 * dim):
-            cexpr = -sp.diff(t_comps[p], Gc.coords[col])
+            cexpr = -diff(t_comps[p], Gc.coords[col])
             if cexpr != 0:
                 right[((col,), p)] = cexpr
     left = {}

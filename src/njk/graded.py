@@ -34,6 +34,7 @@ from .scalars import (
     ZERO,
     canonical,
     combine_results,
+    diff,
     is_zero,
     proved_nonzero,
     proved_zero,
@@ -148,7 +149,7 @@ class GradedFunction:
 
     def diff_even(self, i: int) -> "GradedFunction":
         xi = self.chart.even[i]
-        return GradedFunction(self.chart, {k: sp.diff(c, xi) for k, c in self.table.items()})
+        return GradedFunction(self.chart, {k: diff(c, xi) for k, c in self.table.items()})
 
     def diff_odd(self, alpha: int) -> "GradedFunction":
         """Left derivative with respect to the alpha-th odd coordinate."""
@@ -398,7 +399,7 @@ def _d_superform(f: SuperForm) -> SuperForm:
 
     for (S, T, E), c in f.table.items():
         for i, xi in enumerate(chart.even):
-            dc = sp.diff(c, xi)
+            dc = diff(c, xi)
             if dc == 0:
                 continue
             # insert dx_i: passes the xdot block (|S| odd symbols), then merges
@@ -928,7 +929,7 @@ def de_rham_field_identified(chart: GradedChart, U: BundleMapU) -> GradedVectorF
         acc = GradedFunction(chart, {})
         for i in range(n):
             for j in range(r):
-                coeff = sp.diff(U.matrix[al][j], chart.even[i])
+                coeff = diff(U.matrix[al][j], chart.even[i])
                 if coeff == 0:
                     continue
                 fi = GradedFunction(chart, {(b,): Uinv[i][b] for b in range(r)})

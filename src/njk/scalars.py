@@ -16,6 +16,13 @@ Grammar (EBNF, also documented in the README):
     NUMBER   = digits [ "." digits ] ;
     NAME     = letter_or_underscore { letter_or_digit_or_underscore } ;
 
+The canonical form is computed in sympy's sparse ring QQ[generators],
+the generators being the variables and the opaque applications (keyed by
+their canonicalized arguments): an expression is folded into a
+numerator/denominator pair, cancelled once, and normalized so that the
+denominator's grevlex leading coefficient is 1.  A derivative with respect
+to a variable that does not occur in an expression is 0 by inspection.
+
 Zero testing is tiered: expressions whose canonical form is free of
 opaque applications are decided exactly (ProvedZero / ProvedNonzero);
 everything else is sampled at random rational points and the verdict
@@ -28,10 +35,14 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import mpmath
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import PolyElement, PolyRing
 
 Scalar = sp.Expr
 
@@ -380,9 +391,18 @@ def to_text(e: Scalar) -> str:
 # calculus
 
 
+def diff(e: Scalar, v: sp.Symbol) -> Scalar:
+    """Partial derivative, not canonicalized.  It is 0 by inspection when
+    ``v`` does not occur in ``e`` (also not inside an opaque argument);
+    otherwise sympy differentiates, opaque symbols by their rules."""
+    if v not in getattr(e, "free_symbols", ()):
+        return ZERO
+    return sp.diff(e, v)
+
+
 def differentiate(e: Scalar, v: str | sp.Symbol) -> Scalar:
     """Partial derivative, canonicalized.  Opaque symbols use their rules."""
-    return canonical(sp.diff(sp.sympify(e), var(v)))
+    return canonical(diff(sp.sympify(e), var(v)))
 
 
 def substitute(e: Scalar, bindings: Mapping[str | sp.Symbol, Scalar]) -> Scalar:
@@ -397,43 +417,88 @@ def substitute(e: Scalar, bindings: Mapping[str | sp.Symbol, Scalar]) -> Scalar:
 _GENS_ORDER = sp.core.sorting.default_sort_key
 
 
-def _canonicalize_opaque_args(e: Scalar) -> Scalar:
-    if not e.atoms(OpaqueApplied):
-        return e
-    return e.replace(
-        lambda x: isinstance(x, OpaqueApplied),
-        lambda x: type(x)(*[canonical(a) for a in x.args]),
-    )
+@lru_cache(maxsize=1024)
+def _ring(gens: tuple) -> PolyRing:
+    """QQ[gens]; memoised because building a ring code-generates its
+    monomial operations.  Rings hold no scalar results."""
+    return PolyRing(gens, QQ)
+
+
+def _leaves(e: Scalar, out: dict) -> None:
+    """Map each symbol and opaque application of ``e`` to its generator:
+    the symbol itself, or the application with canonicalized arguments."""
+    if e.is_Symbol:
+        out[e] = e
+    elif isinstance(e, OpaqueApplied):
+        out[e] = type(e)(*[canonical(a) for a in e.args])
+    else:
+        for a in e.args:
+            _leaves(a, out)
+
+
+def _fold(e: Scalar, ring: PolyRing, gen: dict) -> tuple[PolyElement, PolyElement]:
+    """``e`` as an uncancelled (numerator, denominator) pair in ``ring``."""
+    if e.is_Rational:
+        return ring.ground_new(QQ(e.p, e.q)), ring.one
+    if e.is_Symbol or isinstance(e, OpaqueApplied):
+        return gen[e], ring.one
+    if e.is_Add:
+        num, den = _fold(e.args[0], ring, gen)
+        for a in e.args[1:]:
+            n, d = _fold(a, ring, gen)
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return num, den
+    if e.is_Mul:
+        num, den = ring.one, ring.one
+        for a in e.args:
+            n, d = _fold(a, ring, gen)
+            num, den = num * n, den * d
+        return num, den
+    if e.is_Pow and e.exp.is_Integer:
+        num, den = _fold(e.base, ring, gen)
+        k = int(e.exp)
+        if k < 0:
+            if not num:
+                raise ZeroDivisionError(f"canonical: {e.base} vanishes identically")
+            num, den, k = den, num, -k
+        return num**k, den**k
+    what = "non-integer Pow" if e.is_Pow else type(e).__name__
+    raise TypeError(f"canonical: {what} is outside the scalar grammar: {e}")
 
 
 def canonical(e: Scalar) -> Scalar:
     """Rational normal form: expanded coprime numerator/denominator over a
-    fixed generator order, denominator sign/leading-coefficient normalized.
-    Opaque applications are atoms, keyed by their canonicalized arguments.
+    fixed generator order, with the denominator's grevlex leading
+    coefficient 1.
+
+    The generators are the symbols and the opaque applications (keyed by
+    their canonicalized arguments), sorted by ``default_sort_key``.  The
+    expression is folded into a numerator/denominator pair in sympy's
+    sparse ring QQ[generators] and cancelled once, at the end (not at all
+    when the denominator is a constant).  Any node outside the scalar
+    grammar, such as a Float or a non-integer power, raises TypeError.
     """
     e = sp.sympify(e)
-    if e.is_Rational:
+    if e.is_Rational or e.is_Symbol:
         return e
-    e = _canonicalize_opaque_args(e)
-    num, den = sp.fraction(sp.cancel(sp.together(e)))
-    num = sp.expand(num)
-    den = sp.expand(den)
-    if num == 0:
+    leaves: dict = {}
+    _leaves(e, leaves)
+    gens = tuple(sorted(set(leaves.values()), key=_GENS_ORDER))
+    ring = _ring(gens)
+    index = dict(zip(gens, ring.gens))
+    num, den = _fold(e, ring, {k: index[v] for k, v in leaves.items()})
+    if not num:
         return ZERO
-    if den == 1:
-        return num
-    gens = sorted(den.atoms(sp.Symbol) | den.atoms(OpaqueApplied), key=_GENS_ORDER)
-    if not gens:
-        return sp.expand(num / den)
-    lead = sp.Poly(den, *gens).LC(order="grevlex")
-    num = sp.expand(num / lead)
-    den = sp.expand(den / lead)
-    return num / den
-
-
-def is_rational_fragment(e: Scalar) -> bool:
-    """True when the canonical form carries no opaque applications."""
-    return not canonical(e).atoms(OpaqueApplied)
+    if not den.is_ground:
+        num, den = num.cancel(den)
+    lead = den[max(den, key=grevlex)]
+    num, den = num.quo_ground(lead), den.quo_ground(lead)
+    if den.is_one:
+        return num.as_expr()
+    return num.as_expr() / den.as_expr()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .scalars import (
     ZERO,
     canonical,
     combine_results,
+    diff,
     is_zero,
     var,
 )
@@ -68,9 +69,7 @@ def _sort_index(idx: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return None
-    order = sorted(range(len(idx)), key=lambda m: idx[m])
     sign = 1
-    seen = list(idx)
     # count inversions
     for i in range(len(idx)):
         for j in range(i + 1, len(idx)):
@@ -163,7 +162,7 @@ def exterior_derivative(alpha: ScalarForm) -> ScalarForm:
     table: dict = {}
     for idx, c in alpha.table.items():
         for m, xm in enumerate(chart.coords):
-            dc = sp.diff(c, xm)
+            dc = diff(c, xm)
             if dc == 0:
                 continue
             ss = _sort_index((m,) + idx)
@@ -388,7 +387,7 @@ class SmoothMap:
 
     def jacobian(self) -> list[list[Scalar]]:
         return [
-            [sp.diff(c, xj) for xj in self.source.coords] for c in self.components
+            [diff(c, xj) for xj in self.source.coords] for c in self.components
         ]
 
     def push_vector(self, X: VVForm) -> list[Scalar]:
@@ -433,7 +432,7 @@ def lie_bracket(X: VVForm, Y: VVForm) -> VVForm:
     for i in range(chart.dim):
         acc = ZERO
         for j, xj in enumerate(chart.coords):
-            acc = acc + xs[j] * sp.diff(ys[i], xj) - ys[j] * sp.diff(xs[i], xj)
+            acc = acc + xs[j] * diff(ys[i], xj) - ys[j] * diff(xs[i], xj)
         out.append(acc)
     return VVForm.vector_field(chart, out)
 
@@ -492,9 +491,9 @@ def fn_bracket(K: VVForm, L: VVForm) -> VVForm:
             # [X, Y] = 0 for coordinate fields, so the first term only
             # moves coefficients: alpha^beta (x) [d_a, d_b] = 0.
             # alpha ^ L_X beta (x) Y,  L_{d_a}(c2 dx^J) = d_a(c2) dx^J
-            add(I + J, b, c1 * sp.diff(c2, chart.coords[a]))
+            add(I + J, b, c1 * diff(c2, chart.coords[a]))
             # - L_Y alpha ^ beta (x) X
-            add(I + J, a, -sp.diff(c1, chart.coords[b]) * c2)
+            add(I + J, a, -diff(c1, chart.coords[b]) * c2)
             # (-1)^k d(alpha) ^ i_X beta (x) Y
             for pos, j in enumerate(J):
                 if j != a:
@@ -502,7 +501,7 @@ def fn_bracket(K: VVForm, L: VVForm) -> VVForm:
                 iota = (-1) ** pos * c2  # i_{d_a}(dx^J)
                 Jred = J[:pos] + J[pos + 1 :]
                 for m, xm in enumerate(chart.coords):
-                    dc1 = sp.diff(c1, xm)
+                    dc1 = diff(c1, xm)
                     if dc1 != 0:
                         add((m,) + I + Jred, b, sign_k * dc1 * iota)
             # (-1)^k i_Y alpha ^ d(beta) (x) X
@@ -512,7 +511,7 @@ def fn_bracket(K: VVForm, L: VVForm) -> VVForm:
                 iota = (-1) ** pos * c1
                 Ired = I[:pos] + I[pos + 1 :]
                 for m, xm in enumerate(chart.coords):
-                    dc2 = sp.diff(c2, xm)
+                    dc2 = diff(c2, xm)
                     if dc2 != 0:
                         add(Ired + (m,) + J, a, sign_k * iota * dc2)
     return VVForm(chart, k + l, table)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import njk
 from njk.catalog import build
 from njk.cli import main, render_machine, run_document
 from njk.dsl import DocumentError, entry_document, parse_document
@@ -209,3 +214,21 @@ def test_cli_sample_mode_reproducible(capsys):
     # structurally-zero tables stay exact; everything else is sampled
     assert "SampledZero" in verdicts
     assert verdicts <= {"SampledZero", "ProvedZero"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["catalog", "pair_groupoid"], ["run", str(Path(__file__).resolve().parents[1] / "demo.njk")]],
+    ids=["catalog", "demo"],
+)
+def test_machine_report_identical_across_hash_seeds(args):
+    src = str(Path(njk.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "njk.cli", *args, "--report", "machine"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
