@@ -454,7 +454,6 @@ def _generator_form(chart: GradedChart, tag: int, idx: int) -> SuperForm:
         return SuperForm(chart, {((idx,), (), E0): one}, canon=False)
     if tag == 1:
         return SuperForm(chart, {((), (idx,), E0): one}, canon=False)
-    E = tuple(one * 0 for _ in range(chart.r))
     E = tuple(1 if a == idx else 0 for a in range(chart.r))
     return SuperForm(chart, {((), (), E): one}, canon=False)
 

@@ -15,11 +15,16 @@ Tangent vectors along the fiber product are found by solving
 [dp1; dp2] xi = (v1, v2) symbolically over the rational function field;
 right translation is the first-slot differential of m at (u(t(g)), g)
 and left translation the second-slot differential at (g, u(s(g))).
+Each presentation factors that system once per embedding (the pair
+families unit_left, unit_right, mi_pair and the identity of G2) and
+keeps the translators for its lifetime; every translation is then a
+solve against the stored factorization, with the zero check of the
+caller's config supplied per solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import sympy as sp
@@ -89,6 +94,8 @@ class GroupoidPresentation:
     G3: Chart | None = None
     q12: SmoothMap | None = None  # w3 -> ((g1 g2), g3) in G2
     q23: SmoothMap | None = None  # w3 -> (g1, (g2 g3)) in G2
+    # fiber-product translators by embedding name, built on first use
+    _translators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expect = {
@@ -179,17 +186,6 @@ def check_axioms(P: GroupoidPresentation, config: Config = DEFAULT_CONFIG) -> Ch
 # tangent solves along the fiber product
 
 
-def _stacked_pair_jacobian(P: GroupoidPresentation, embed: SmoothMap) -> list[list[Scalar]]:
-    """[dp1; dp2] pulled back along an embedding into G2."""
-    rows = []
-    for row in P.p1.jacobian():
-        rows.append([embed(e) for e in row])
-    for row in P.p2.jacobian():
-        rows.append([embed(e) for e in row])
-    # jacobian entries live on G2; pull back along the embedding
-    return rows
-
-
 def _jacobian_along(f: SmoothMap, point_map: SmoothMap) -> list[list[Scalar]]:
     """Jacobian of f with its entries composed with point_map."""
     return [[point_map(e) for e in row] for row in f.jacobian()]
@@ -197,30 +193,35 @@ def _jacobian_along(f: SmoothMap, point_map: SmoothMap) -> list[list[Scalar]]:
 
 class _Translator:
     """Solves for fiber-product tangent vectors at an embedded pair family
-    and pushes them through the multiplication differential."""
+    and pushes them through the multiplication differential.  The system
+    [dp1; dp2] along the embedding is factored once, at construction."""
 
-    def __init__(self, P: GroupoidPresentation, embed: SmoothMap,
-                 config: Config | None = None):
+    def __init__(self, P: GroupoidPresentation, embed: SmoothMap):
         self.P = P
-        self.embed = embed
-        jp1 = _jacobian_along(P.p1, embed)
-        jp2 = _jacobian_along(P.p2, embed)
-        self.E = jp1 + jp2
+        self.solver = linalg.Solver(_jacobian_along(P.p1, embed) + _jacobian_along(P.p2, embed))
         self.Jm = _jacobian_along(P.m, embed)
-        if config is None:
-            self.zero_check = None
-        else:
-            self.zero_check = lambda e: is_zero(e, config).holds
 
-    def push(self, v1: Sequence[Scalar], v2: Sequence[Scalar]) -> list[Scalar]:
-        """dm applied to the pair tangent vector (v1, v2)."""
-        rhs = list(v1) + list(v2)
-        xi = linalg.solve(self.E, rhs, zero_check=self.zero_check)
+    def push(self, v1: Sequence[Scalar], v2: Sequence[Scalar],
+             config: Config | None) -> list[Scalar]:
+        """dm applied to the pair tangent vector (v1, v2); config, when
+        given, decides consistency residuals that are not canonically zero."""
+        zero_check = None if config is None else (lambda e: is_zero(e, config).holds)
+        xi = self.solver(list(v1) + list(v2), zero_check)
         g2 = self.P.G2.dim
         return [
             canonical(sp.Add(*[self.Jm[k][c] * xi[c] for c in range(g2)]))
             for k in range(self.P.G.dim)
         ]
+
+
+def _translator(P: GroupoidPresentation, embedding: str) -> _Translator:
+    """P's translator along one of its pair embeddings ("unit_left",
+    "unit_right", "mi_pair") or along the identity of G2 ("G2")."""
+    tr = P._translators.get(embedding)
+    if tr is None:
+        embed = SmoothMap.identity(P.G2) if embedding == "G2" else getattr(P, embedding)
+        tr = P._translators[embedding] = _Translator(P, embed)
+    return tr
 
 
 def algebroid_of(P: GroupoidPresentation, config: Config = DEFAULT_CONFIG) -> AlgebroidData:
@@ -243,14 +244,15 @@ def algebroid_of(P: GroupoidPresentation, config: Config = DEFAULT_CONFIG) -> Al
         for i in range(n)
     ]
     frame_fields = right_frame_fields(P, kernel, config)
-    # brackets of the extended frame, restricted to units, in kernel coordinates
-    B = [[kernel[al][k] for al in range(r)] for k in range(g)]  # g x r over M
+    # brackets of the extended frame, restricted to units, in kernel
+    # coordinates: solved against the g x r kernel frame, factored once
+    in_frame = linalg.Solver([[kernel[al][k] for al in range(r)] for k in range(g)])
     c = {}
     for al in range(r):
         for be in range(al + 1, r):
             br = lie_bracket(frame_fields[al], frame_fields[be]).as_vector()
             at_units = [P.u(e) for e in br]
-            comps = linalg.solve(B, at_units, zero_check=lambda e: is_zero(e, config).holds)
+            comps = in_frame(at_units, zero_check=lambda e: is_zero(e, config).holds)
             comps = tuple(canonical(e) for e in comps)
             if any(e != 0 for e in comps):
                 c[(al, be)] = comps
@@ -261,13 +263,13 @@ def right_frame_fields(P: GroupoidPresentation, kernel: list[list[Scalar]],
                        config: Config | None = None) -> list[VVForm]:
     """Right-invariant vector fields extending the kernel frame:
     a |-> dm|_(u(t(g)), g) (a_{t(g)}, 0)."""
-    tr = _Translator(P, P.unit_left, config)
+    tr = _translator(P, "unit_left")
     tog = P.t  # functions of M composed onto G
     fields = []
     for vec in kernel:
         v1 = [tog(e) for e in vec]
         v2 = [ZERO] * P.dim_G
-        fields.append(VVForm.vector_field(P.G, tr.push(v1, v2)))
+        fields.append(VVForm.vector_field(P.G, tr.push(v1, v2, config)))
     return fields
 
 
@@ -309,7 +311,7 @@ def right_lift(P: GroupoidPresentation, U: BundleMapU, route: str = "dm",
                 col = [a + coeff * b for a, b in zip(col, fv)]
             cols.append([canonical(e) for e in col])
         return VVForm.tensor11(P.G, [[cols[j][k] for j in range(g)] for k in range(g)])
-    tr = _Translator(P, P.unit_left, config)
+    tr = _translator(P, "unit_left")
     cols = []
     for j in range(g):
         # U(dt e_j) as a tangent vector at u(t(g))
@@ -319,7 +321,7 @@ def right_lift(P: GroupoidPresentation, U: BundleMapU, route: str = "dm",
             if coeff == 0:
                 continue
             avec = [a + coeff * b for a, b in zip(avec, kt[al])]
-        cols.append(tr.push(avec, [ZERO] * g))
+        cols.append(tr.push(avec, [ZERO] * g, config))
     return VVForm.tensor11(P.G, [[cols[j][k] for j in range(g)] for k in range(g)])
 
 
@@ -335,7 +337,7 @@ def left_lift(P: GroupoidPresentation, U: BundleMapU,
     Us = [[P.s(e) for e in row] for row in U.matrix]
     ks = [[P.s(e) for e in vec] for vec in kernel]
     ji_us = _jacobian_along(P.i, P.u.compose(P.s))  # di at u(s(g)), over G
-    tr = _Translator(P, P.unit_right, config)
+    tr = _translator(P, "unit_right")
     cols = []
     for j in range(g):
         avec = [ZERO] * g
@@ -345,7 +347,7 @@ def left_lift(P: GroupoidPresentation, U: BundleMapU,
                 continue
             avec = [a + coeff * b for a, b in zip(avec, ks[al])]
         w = [sp.Add(*[ji_us[k][l] * avec[l] for l in range(g)]) for k in range(g)]
-        cols.append(tr.push([ZERO] * g, w))
+        cols.append(tr.push([ZERO] * g, w, config))
     return VVForm.tensor11(P.G, [[cols[j][k] for j in range(g)] for k in range(g)])
 
 
@@ -464,12 +466,12 @@ def delta_0(P: GroupoidPresentation, T: VVForm,
     # product T(v1 v2) . (T v2)^{-1} via the pair (m(w), i(p2 w))
     A1 = linalg.mat_mul(Tm, Jm)  # g x g2: T(dm eta) at m(w)
     A2 = linalg.mat_mul(ji_p2, linalg.mat_mul(Tp2, Jp2))  # di(T dp2 eta) at i(p2 w)
-    tr = _Translator(P, P.mi_pair, config)
+    tr = _translator(P, "mi_pair")
     cols = []
     for c in range(g2):
         v1 = [A1[k][c] for k in range(g)]
         v2 = [A2[k][c] for k in range(g)]
-        cols.append(tr.push(v1, v2))
+        cols.append(tr.push(v1, v2, config))
     direct = linalg.mat_mul(Tp1, Jp1)
     D = [
         [canonical(direct[k][c] - cols[c][k]) for c in range(g2)] for k in range(g)
@@ -524,11 +526,11 @@ def multiplicative_check(P: GroupoidPresentation, T: VVForm,
     lhs = linalg.mat_mul(Tm, Jm)
     B1 = linalg.mat_mul(Tp1, P.p1.jacobian())
     B2 = linalg.mat_mul(Tp2, P.p2.jacobian())
-    tr = _Translator(P, SmoothMap.identity(P.G2), config)
+    tr = _translator(P, "G2")
     res = []
     try:
         for c in range(g2):
-            out = tr.push([B1[k][c] for k in range(g)], [B2[k][c] for k in range(g)])
+            out = tr.push([B1[k][c] for k in range(g)], [B2[k][c] for k in range(g)], config)
             for k in range(g):
                 res.append(is_zero(lhs[k][c] - out[k], config))
         direct = combine_results(res)

@@ -5,6 +5,13 @@ a nonzero rational function (opaque applications are treated as
 independent transcendentals).  Every non-constant pivot is recorded so
 callers can report the localization locus: results are valid wherever no
 recorded pivot vanishes.
+
+A matrix that is solved against many right-hand sides is factored once:
+``Solver(A)`` eliminates [A | I], records the row operations T in the
+identity block, and then solves each A x = b by applying T to b.  The
+zero check for consistency residuals is supplied with each right-hand
+side, not with the factorization.  ``solve`` and ``invert`` are thin
+wrappers around it, so there is one elimination-based solving path.
 """
 
 from __future__ import annotations
@@ -100,39 +107,71 @@ class InconsistentSystem(ValueError):
     pass
 
 
+class Solver:
+    """A x = b for one matrix A and any number of right-hand sides b.
+
+    [A | I] is eliminated once, with pivots chosen only among A's columns,
+    so the identity block ends up holding the row operations T that
+    eliminate([A | b]) would apply to b.  Each call applies T to b, checks
+    the rows without a pivot for consistency and divides by the pivots;
+    since canonical forms are normal forms, the result equals the one of a
+    fresh elimination of [A | b].
+    """
+
+    def __init__(self, matrix: list[list[Scalar]]):
+        self.ncols = len(matrix[0])
+        nrows = len(matrix)
+        one = sp.Integer(1)
+        aug = [
+            list(row) + [one if i == j else ZERO for j in range(nrows)]
+            for i, row in enumerate(matrix)
+        ]
+        elim = eliminate(aug, pivot_limit=self.ncols)
+        self.rank = elim.rank
+        self.transform = [row[self.ncols:] for row in elim.rows]
+        self.pivots = [(r, c, elim.rows[r][c]) for r, c in elim.pivots]
+        self.pivot_rows = {r for r, _ in elim.pivots}
+
+    def __call__(self, rhs: list[Scalar], zero_check=None) -> list[Scalar]:
+        """Solve A x = rhs exactly; rhs may contain free symbolic parameters.
+
+        The system must be consistent as an identity of rational functions
+        (otherwise InconsistentSystem).  Free columns are set to zero, so
+        the solution is the unique one when A has full column rank.
+        zero_check, when given, decides consistency residuals that are not
+        canonically zero (needed when opaque atoms satisfy hidden
+        relations).
+        """
+        terms = [(j, b) for j, b in enumerate(rhs) if b != 0]
+        y = [
+            canonical(sp.Add(*[row[j] * b for j, b in terms if row[j] != 0]))
+            for row in self.transform
+        ]
+        for r, residual in enumerate(y):
+            if r in self.pivot_rows or residual == 0:
+                continue
+            if zero_check is not None and zero_check(residual):
+                continue
+            raise InconsistentSystem(f"row {r}: 0 = {residual}")
+        sol = [ZERO] * self.ncols
+        for r, c, pivot in self.pivots:
+            sol[c] = canonical(y[r] / pivot)
+        return sol
+
+
 def solve(matrix: list[list[Scalar]], rhs: list[Scalar],
           zero_check=None) -> list[Scalar]:
-    """Solve A x = b exactly; b may contain free symbolic parameters.
-
-    The system must be consistent as an identity of rational functions
-    (otherwise InconsistentSystem).  Free columns are set to zero, so the
-    solution is the unique one when A has full column rank.  zero_check,
-    when given, decides consistency residuals that are not canonically
-    zero (needed when opaque atoms satisfy hidden relations).
-    """
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    elim = eliminate(aug, pivot_limit=ncols)
-    pivot_rows = {r for r, _ in elim.pivots}
-    for r in range(len(elim.rows)):
-        residual = canonical(elim.rows[r][ncols])
-        if r in pivot_rows or residual == 0:
-            continue
-        if zero_check is not None and zero_check(residual):
-            continue
-        raise InconsistentSystem(f"row {r}: 0 = {residual}")
-    sol = [ZERO] * ncols
-    for r, c in elim.pivots:
-        sol[c] = canonical(elim.rows[r][ncols] / elim.rows[r][c])
-    return sol
+    """Solve A x = b once; see ``Solver`` for the contract."""
+    return Solver(matrix)(rhs, zero_check)
 
 
 def invert(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
     """Inverse over the rational function field; raises if rank-deficient."""
     n = len(matrix)
-    if eliminate(matrix).rank != n:
+    solver = Solver(matrix)
+    if solver.rank != n:
         raise ValueError("matrix is not invertible over the function field")
-    cols = [solve(matrix, [sp.Integer(1) if i == j else ZERO for i in range(n)]) for j in range(n)]
+    cols = [solver([sp.Integer(1) if i == j else ZERO for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 

@@ -11,7 +11,7 @@ one of degree 1 is a (1,1) tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
@@ -553,7 +553,7 @@ def pushforward(phi: SmoothMap, T: VVForm, phi_inv: SmoothMap) -> VVForm:
     if k == 0:
         v = [back(c) for c in phi.push_vector(T)]
         return VVForm.vector_field(tgt, v)
-    for Jidx in _increasing_indices(n_t, k):
+    for Jidx in combinations(range(n_t), k):
         # columns of Jinv for the chosen target directions
         cols = [[Jinv[i][j] for i in range(src.dim)] for j in Jidx]
         for out in range(n_t):
@@ -572,12 +572,6 @@ def pushforward(phi: SmoothMap, T: VVForm, phi_inv: SmoothMap) -> VVForm:
             if acc != 0:
                 table[(Jidx, out)] = acc
     return VVForm(tgt, k, table)
-
-
-def _increasing_indices(n: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(n), k)
 
 
 def related_check(

@@ -18,7 +18,8 @@ from njk.groupoids import (
     right_lift,
     theorem2_check,
 )
-from njk.scalars import ZERO, canonical, var
+from njk import groupoids
+from njk.scalars import ZERO, Config, canonical, var
 from njk.tensors import Chart, SmoothMap, VVForm, vvform_is_zero
 
 PAIR = pair_groupoid(2)
@@ -237,3 +238,21 @@ def test_lemma_check_pair_both_sides_zero():
 
 def test_lemma_check_projection():
     assert lemma_check(PROJ.presentation, PROJ.bundle_map).passed
+
+
+# -- translator reuse -----------------------------------------------------------
+
+
+def test_one_translator_per_embedding(monkeypatch):
+    built = []
+    init = groupoids._Translator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groupoids._Translator, "__init__", counting)
+    report = build("pair_groupoid").verify(Config(seed=0))
+    assert report.passed
+    # unit_left, unit_right, mi_pair and the identity of G2
+    assert len(built) <= 4
