@@ -9,7 +9,7 @@ Negative controls declare which identities are expected to fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Callable
 
 import sympy as sp
@@ -39,6 +39,7 @@ from .scalars import (
     VerificationResult,
     ZERO,
     canonical,
+    combine_results,
     diff,
     is_zero,
     parse,
@@ -147,6 +148,11 @@ def _verify_presentation(entry: CatalogEntry, report: CheckReport, config: Confi
 
 # ---------------------------------------------------------------------------
 # builders
+
+
+def _vec(*parts) -> list:
+    """The concatenation of coordinate lists, as one list."""
+    return list(chain.from_iterable(parts))
 
 
 def _vv(chart: Chart, table: dict) -> VVForm:
@@ -357,30 +363,24 @@ def double_tangent(b: int = 1) -> CatalogEntry:
     kz, ka, kb, kc, kd, ke, kf, kg = (G3.coords[i * b : (i + 1) * b] for i in range(8))
     zero = [ZERO] * b
 
-    def vec(*parts):
-        out = []
-        for part in parts:
-            out.extend(part)
-        return out
-
     P = GroupoidPresentation(
         name="double_tangent",
         G=G,
         M=M,
-        s=SmoothMap("s", G, M, vec(gz, [a - c for a, c in zip(gu, gp)])),
-        t=SmoothMap("t", G, M, vec(gz, [a + c for a, c in zip(gu, gp)])),
-        u=SmoothMap("u", M, G, vec(z, u, zero, zero)),
-        i=SmoothMap("i", G, G, vec(gz, gu, [-c for c in gp], [-c for c in gq])),
+        s=SmoothMap("s", G, M, _vec(gz, [a - c for a, c in zip(gu, gp)])),
+        t=SmoothMap("t", G, M, _vec(gz, [a + c for a, c in zip(gu, gp)])),
+        u=SmoothMap("u", M, G, _vec(z, u, zero, zero)),
+        i=SmoothMap("i", G, G, _vec(gz, gu, [-c for c in gp], [-c for c in gq])),
         G2=G2,
-        p1=SmoothMap("p1", G2, G, vec(hz, ha, hb, hc)),
+        p1=SmoothMap("p1", G2, G, _vec(hz, ha, hb, hc)),
         p2=SmoothMap(
-            "p2", G2, G, vec(hz, [a - x - y for a, x, y in zip(ha, hb, hd)], hd, he)
+            "p2", G2, G, _vec(hz, [a - x - y for a, x, y in zip(ha, hb, hd)], hd, he)
         ),
         m=SmoothMap(
             "m",
             G2,
             G,
-            vec(
+            _vec(
                 hz,
                 [a - d for a, d in zip(ha, hd)],
                 [x + d for x, d in zip(hb, hd)],
@@ -388,20 +388,20 @@ def double_tangent(b: int = 1) -> CatalogEntry:
             ),
         ),
         unit_left=SmoothMap(
-            "ul", G, G2, vec(gz, [a + c for a, c in zip(gu, gp)], zero, zero, gp, gq)
+            "ul", G, G2, _vec(gz, [a + c for a, c in zip(gu, gp)], zero, zero, gp, gq)
         ),
-        unit_right=SmoothMap("ur", G, G2, vec(gz, gu, gp, gq, zero, zero)),
+        unit_right=SmoothMap("ur", G, G2, _vec(gz, gu, gp, gq, zero, zero)),
         inv_left=SmoothMap(
-            "il", G, G2, vec(gz, gu, [-c for c in gp], [-c for c in gq], gp, gq)
+            "il", G, G2, _vec(gz, gu, [-c for c in gp], [-c for c in gq], gp, gq)
         ),
         inv_right=SmoothMap(
-            "ir", G, G2, vec(gz, gu, gp, gq, [-c for c in gp], [-c for c in gq])
+            "ir", G, G2, _vec(gz, gu, gp, gq, [-c for c in gp], [-c for c in gq])
         ),
         mi_pair=SmoothMap(
             "mi",
             G2,
             G2,
-            vec(
+            _vec(
                 hz,
                 [a - d for a, d in zip(ha, hd)],
                 [x + d for x, d in zip(hb, hd)],
@@ -415,7 +415,7 @@ def double_tangent(b: int = 1) -> CatalogEntry:
             "q12",
             G3,
             G2,
-            vec(
+            _vec(
                 kz,
                 [a - d for a, d in zip(ka, kd)],
                 [x + d for x, d in zip(kb, kd)],
@@ -428,7 +428,7 @@ def double_tangent(b: int = 1) -> CatalogEntry:
             "q23",
             G3,
             G2,
-            vec(kz, ka, kb, kc, [d + f for d, f in zip(kd, kf)], [e + g for e, g in zip(ke, kg)]),
+            _vec(kz, ka, kb, kc, [d + f for d, f in zip(kd, kf)], [e + g for e, g in zip(ke, kg)]),
         ),
     )
     half = sp.Rational(1, 2)
@@ -478,7 +478,7 @@ def double_tangent(b: int = 1) -> CatalogEntry:
                 **{((b + i,), 3 * b + i): one for i in range(b)},
             },
         )
-        swap = SmoothMap("kappa", G, G, vec(gz, gp, gu, gq))
+        swap = SmoothMap("kappa", G, G, _vec(gz, gp, gu, gq))
         pushed = pushforward(swap, V_TTB, swap)
         return vvform_is_zero(pushed - delta, config)
 
@@ -536,34 +536,28 @@ def projection_groupoid(nx: int = 1, nu: int = 1) -> CatalogEntry:
     ky = G3.coords[3 * nx + 4 * nu :]
     zero_x = [ZERO] * nx
 
-    def vec(*parts):
-        out = []
-        for part in parts:
-            out.extend(part)
-        return out
-
     P = GroupoidPresentation(
         name="projection_groupoid",
         G=G,
         M=M,
-        s=SmoothMap("s", G, M, vec(gx, ga)),
-        t=SmoothMap("t", G, M, vec(gx, gb)),
-        u=SmoothMap("u", M, G, vec(x, y, y, zero_x)),
-        i=SmoothMap("i", G, G, vec(gx, gb, ga, [-c for c in gv])),
+        s=SmoothMap("s", G, M, _vec(gx, ga)),
+        t=SmoothMap("t", G, M, _vec(gx, gb)),
+        u=SmoothMap("u", M, G, _vec(x, y, y, zero_x)),
+        i=SmoothMap("i", G, G, _vec(gx, gb, ga, [-c for c in gv])),
         G2=G2,
-        p1=SmoothMap("p1", G2, G, vec(hx, ha, hb, hv)),
-        p2=SmoothMap("p2", G2, G, vec(hx, hc, ha, hw)),
-        m=SmoothMap("m", G2, G, vec(hx, hc, hb, [a + c for a, c in zip(hv, hw)])),
-        unit_left=SmoothMap("ul", G, G2, vec(gx, gb, gb, ga, zero_x, gv)),
-        unit_right=SmoothMap("ur", G, G2, vec(gx, ga, gb, ga, gv, zero_x)),
-        inv_left=SmoothMap("il", G, G2, vec(gx, gb, ga, ga, [-c for c in gv], gv)),
-        inv_right=SmoothMap("ir", G, G2, vec(gx, ga, gb, gb, gv, [-c for c in gv])),
+        p1=SmoothMap("p1", G2, G, _vec(hx, ha, hb, hv)),
+        p2=SmoothMap("p2", G2, G, _vec(hx, hc, ha, hw)),
+        m=SmoothMap("m", G2, G, _vec(hx, hc, hb, [a + c for a, c in zip(hv, hw)])),
+        unit_left=SmoothMap("ul", G, G2, _vec(gx, gb, gb, ga, zero_x, gv)),
+        unit_right=SmoothMap("ur", G, G2, _vec(gx, ga, gb, ga, gv, zero_x)),
+        inv_left=SmoothMap("il", G, G2, _vec(gx, gb, ga, ga, [-c for c in gv], gv)),
+        inv_right=SmoothMap("ir", G, G2, _vec(gx, ga, gb, gb, gv, [-c for c in gv])),
         mi_pair=SmoothMap(
-            "mi", G2, G2, vec(hx, hc, hb, ha, [a + c for a, c in zip(hv, hw)], [-c for c in hw])
+            "mi", G2, G2, _vec(hx, hc, hb, ha, [a + c for a, c in zip(hv, hw)], [-c for c in hw])
         ),
         G3=G3,
-        q12=SmoothMap("q12", G3, G2, vec(kx, kc, kb, kd, [a + c for a, c in zip(kv, kw)], ky)),
-        q23=SmoothMap("q23", G3, G2, vec(kx, ka, kb, kd, kv, [a + c for a, c in zip(kw, ky)])),
+        q12=SmoothMap("q12", G3, G2, _vec(kx, kc, kb, kd, [a + c for a, c in zip(kv, kw)], ky)),
+        q23=SmoothMap("q23", G3, G2, _vec(kx, ka, kb, kd, kv, [a + c for a, c in zip(kw, ky)])),
     )
     one = sp.Integer(1)
     # kernel frame at units comes out as (d/dgb_a, d/dgv_i)
@@ -601,8 +595,6 @@ def projection_groupoid(nx: int = 1, nu: int = 1) -> CatalogEntry:
     def projection_regressions(config: Config) -> VerificationResult:
         sq = vvform_is_zero(Pm.compose11(Pm) - Pm, config)
         tor = vvform_is_zero(nijenhuis_torsion(Pm), config)
-        from .scalars import combine_results
-
         return combine_results([sq, tor])
 
     return CatalogEntry(
@@ -684,8 +676,6 @@ def prelie(dim: int = 2, products: dict | None = None, name: str = "prelie") -> 
 
     def torsion_of_A(config: Config) -> VerificationResult:
         T = a_torsion(A, BundleMapU.identity(dim))
-        from .scalars import combine_results
-
         return combine_results(is_zero(e, config) for e in T.entries())
 
     entry = CatalogEntry(
@@ -769,34 +759,28 @@ def _prelie_presentation(name, dim, M, Gc, Lg, k):
     )
     jg, jh, jk, jx = (G3.coords[i * dim : (i + 1) * dim] for i in range(4))
 
-    def vec(*parts):
-        out = []
-        for part in parts:
-            out.extend(part)
-        return out
-
     return GroupoidPresentation(
         name=f"{name}_groupoid",
         G=Gc,
         M=M,
         s=SmoothMap("s", Gc, M, list(gx)),
         t=SmoothMap("t", Gc, M, apply_L(g, gx)),
-        u=SmoothMap("u", M, Gc, vec(zero, x)),
-        i=SmoothMap("i", Gc, Gc, vec([-c for c in g], apply_L(g, gx))),
+        u=SmoothMap("u", M, Gc, _vec(zero, x)),
+        i=SmoothMap("i", Gc, Gc, _vec([-c for c in g], apply_L(g, gx))),
         G2=G2,
-        p1=SmoothMap("p1", G2, Gc, vec(hg, apply_L(hh, hx))),
-        p2=SmoothMap("p2", G2, Gc, vec(hh, hx)),
-        m=SmoothMap("m", G2, Gc, vec([a + b for a, b in zip(hg, hh)], hx)),
-        unit_left=SmoothMap("ul", Gc, G2, vec(zero, g, gx)),
-        unit_right=SmoothMap("ur", Gc, G2, vec(g, zero, gx)),
-        inv_left=SmoothMap("il", Gc, G2, vec([-c for c in g], g, gx)),
-        inv_right=SmoothMap("ir", Gc, G2, vec(g, [-c for c in g], apply_L(g, gx))),
+        p1=SmoothMap("p1", G2, Gc, _vec(hg, apply_L(hh, hx))),
+        p2=SmoothMap("p2", G2, Gc, _vec(hh, hx)),
+        m=SmoothMap("m", G2, Gc, _vec([a + b for a, b in zip(hg, hh)], hx)),
+        unit_left=SmoothMap("ul", Gc, G2, _vec(zero, g, gx)),
+        unit_right=SmoothMap("ur", Gc, G2, _vec(g, zero, gx)),
+        inv_left=SmoothMap("il", Gc, G2, _vec([-c for c in g], g, gx)),
+        inv_right=SmoothMap("ir", Gc, G2, _vec(g, [-c for c in g], apply_L(g, gx))),
         mi_pair=SmoothMap(
-            "mi", G2, G2, vec([a + b for a, b in zip(hg, hh)], [-c for c in hh], apply_L(hh, hx))
+            "mi", G2, G2, _vec([a + b for a, b in zip(hg, hh)], [-c for c in hh], apply_L(hh, hx))
         ),
         G3=G3,
-        q12=SmoothMap("q12", G3, G2, vec([a + b for a, b in zip(jg, jh)], jk, jx)),
-        q23=SmoothMap("q23", G3, G2, vec(jg, [a + b for a, b in zip(jh, jk)], jx)),
+        q12=SmoothMap("q12", G3, G2, _vec([a + b for a, b in zip(jg, jh)], jk, jx)),
+        q23=SmoothMap("q23", G3, G2, _vec(jg, [a + b for a, b in zip(jh, jk)], jx)),
     )
 
 
@@ -855,8 +839,6 @@ def _prelie_equivariance_check(dim, Gc, Lg, k):
         ]
 
     def check(config: Config) -> VerificationResult:
-        from .scalars import combine_results
-
         # ad_g = identity for the commuting case covered by the builder
         lhs = apply_L(rp_vec(xs, ys))
         rhs = rp_vec(xs, apply_L(ys))

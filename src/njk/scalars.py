@@ -20,8 +20,13 @@ The canonical form is computed in sympy's sparse ring QQ[generators],
 the generators being the variables and the opaque applications (keyed by
 their canonicalized arguments): an expression is folded into a
 numerator/denominator pair, cancelled once, and normalized so that the
-denominator's grevlex leading coefficient is 1.  A derivative with respect
-to a variable that does not occur in an expression is 0 by inspection.
+denominator's grevlex leading coefficient is 1.  Each monomial of the
+expression becomes one ring term, built from its exponent tuple, and the
+monomial terms of a sum are added in one dictionary.  An expanded
+polynomial is already its own canonical form: the pass that collects the
+generators recognizes it, and it is returned unchanged, without a ring.  A
+derivative is 0 by inspection for a number or for an expression without
+the variable, and 1 or 0 for a symbol.
 
 Zero testing is tiered: expressions whose canonical form is free of
 opaque applications are decided exactly (ProvedZero / ProvedNonzero);
@@ -392,10 +397,15 @@ def to_text(e: Scalar) -> str:
 
 
 def diff(e: Scalar, v: sp.Symbol) -> Scalar:
-    """Partial derivative, not canonicalized.  It is 0 by inspection when
-    ``v`` does not occur in ``e`` (also not inside an opaque argument);
-    otherwise sympy differentiates, opaque symbols by their rules."""
-    if v not in getattr(e, "free_symbols", ()):
+    """Partial derivative, not canonicalized.  It is 0 by inspection for a
+    number (Python ints included) and when ``v`` does not occur in ``e``
+    (also not inside an opaque argument), 1 or 0 for a symbol; otherwise
+    sympy differentiates, opaque symbols by their rules."""
+    if getattr(e, "is_Number", True):
+        return ZERO
+    if e.is_Symbol:
+        return ONE if e == v else ZERO
+    if v not in e.free_symbols:
         return ZERO
     return sp.diff(e, v)
 
@@ -424,49 +434,111 @@ def _ring(gens: tuple) -> PolyRing:
     return PolyRing(gens, QQ)
 
 
-def _leaves(e: Scalar, out: dict) -> None:
-    """Map each symbol and opaque application of ``e`` to its generator:
-    the symbol itself, or the application with canonicalized arguments."""
+# How far an expression is an expanded polynomial, from the most special
+# class to none; each class is contained in the ones below it.
+_GENERATOR, _POWER, _MONOMIAL, _SUM, _OTHER = range(5)
+
+
+def _scan(e: Scalar, out: dict) -> int:
+    """Map each symbol and opaque application of ``e`` to its generator in
+    ``out`` (the symbol itself, or the application with canonicalized
+    arguments), and classify ``e`` in the same pass:
+
+    - _GENERATOR: a symbol, or an opaque application equal to its
+      generator (its arguments are their own canonical forms);
+    - _POWER: a generator or a positive integer power of one;
+    - _MONOMIAL: a Rational, a power, or a product of powers with an
+      optional leading Rational;
+    - _SUM: a monomial, or a sum of monomials with distinct powers;
+    - _OTHER: anything else.
+    """
     if e.is_Symbol:
         out[e] = e
-    elif isinstance(e, OpaqueApplied):
-        out[e] = type(e)(*[canonical(a) for a in e.args])
-    else:
-        for a in e.args:
-            _leaves(a, out)
-
-
-def _fold(e: Scalar, ring: PolyRing, gen: dict) -> tuple[PolyElement, PolyElement]:
-    """``e`` as an uncancelled (numerator, denominator) pair in ``ring``."""
+        return _GENERATOR
+    if isinstance(e, OpaqueApplied):
+        g = out[e] = type(e)(*[canonical(a) for a in e.args])
+        return _GENERATOR if g == e else _OTHER
     if e.is_Rational:
-        return ring.ground_new(QQ(e.p, e.q)), ring.one
-    if e.is_Symbol or isinstance(e, OpaqueApplied):
-        return gen[e], ring.one
+        return _MONOMIAL
+    kinds = [_scan(a, out) for a in e.args]
+    if e.is_Pow:
+        ok = kinds[0] == _GENERATOR and e.exp.is_Integer and e.exp.p > 0
+        return _POWER if ok else _OTHER
+    if e.is_Mul:
+        if e.args[0].is_Rational:
+            kinds[0] = _POWER  # the leading coefficient
+        return _MONOMIAL if max(kinds) <= _POWER else _OTHER
+    if e.is_Add and max(kinds) <= _MONOMIAL:
+        powers = {_powers(a) for a in e.args}
+        return _SUM if len(powers) == len(e.args) else _OTHER
+    return _OTHER
+
+
+def _powers(e: Scalar) -> tuple:
+    """The factors of the monomial ``e`` other than its Rational."""
+    if e.is_Rational:
+        return ()
+    if not e.is_Mul:
+        return (e,)
+    return e.args[1:] if e.args[0].is_Rational else e.args
+
+
+def _split(e: Scalar, index: dict, ngens: int) -> tuple[tuple, object, list]:
+    """Split the product ``e`` (or the single factor ``e``) into the ring
+    term of its generator powers and rational factors, as (exponent tuple,
+    coefficient), and the list of its other factors."""
+    exps = [0] * ngens
+    coeff = QQ.one
+    rest = []
+    for f in e.args if e.is_Mul else (e,):
+        if f.is_Rational:
+            coeff *= QQ(f.p, f.q)
+        elif f.is_Symbol or isinstance(f, OpaqueApplied):
+            exps[index[f]] += 1
+        elif (f.is_Pow and f.exp.is_Integer and f.exp.p > 0
+              and (f.base.is_Symbol or isinstance(f.base, OpaqueApplied))):
+            exps[index[f.base]] += f.exp.p
+        else:
+            rest.append(f)
+    return tuple(exps), coeff, rest
+
+
+def _fold(e: Scalar, ring: PolyRing, index: dict) -> tuple[PolyElement, PolyElement]:
+    """``e`` as an uncancelled (numerator, denominator) pair in ``ring``;
+    ``index`` maps each leaf to the position of its generator."""
     if e.is_Add:
-        num, den = _fold(e.args[0], ring, gen)
-        for a in e.args[1:]:
-            n, d = _fold(a, ring, gen)
+        terms: dict = {}
+        num, den = ring.zero, ring.one
+        for a in e.args:
+            monom, coeff, rest = _split(a, index, ring.ngens)
+            if not rest:
+                terms[monom] = terms.get(monom, QQ.zero) + coeff
+                continue
+            n, d = _fold(a, ring, index)
             if d == den:
                 num += n
             else:
                 num, den = num * d + n * den, den * d
-        return num, den
-    if e.is_Mul:
-        num, den = ring.one, ring.one
-        for a in e.args:
-            n, d = _fold(a, ring, gen)
-            num, den = num * n, den * d
-        return num, den
-    if e.is_Pow and e.exp.is_Integer:
-        num, den = _fold(e.base, ring, gen)
-        k = int(e.exp)
-        if k < 0:
-            if not num:
-                raise ZeroDivisionError(f"canonical: {e.base} vanishes identically")
-            num, den, k = den, num, -k
-        return num**k, den**k
-    what = "non-integer Pow" if e.is_Pow else type(e).__name__
-    raise TypeError(f"canonical: {what} is outside the scalar grammar: {e}")
+        poly = ring.dtype({m: c for m, c in terms.items() if c})
+        return num + (poly if den.is_one else poly * den), den
+    monom, coeff, rest = _split(e, index, ring.ngens)
+    num, den = ring.dtype({monom: coeff} if coeff else ()), ring.one
+    for f in rest:
+        if f.is_Add:
+            n, d = _fold(f, ring, index)
+        elif f.is_Pow and f.exp.is_Integer:
+            n, d = _fold(f.base, ring, index)
+            k = int(f.exp)
+            if k < 0:
+                if not n:
+                    raise ZeroDivisionError(f"canonical: {f.base} vanishes identically")
+                n, d, k = d, n, -k
+            n, d = n**k, d**k
+        else:
+            what = "non-integer Pow" if f.is_Pow else type(f).__name__
+            raise TypeError(f"canonical: {what} is outside the scalar grammar: {f}")
+        num, den = num * n, den * d
+    return num, den
 
 
 def canonical(e: Scalar) -> Scalar:
@@ -474,22 +546,37 @@ def canonical(e: Scalar) -> Scalar:
     fixed generator order, with the denominator's grevlex leading
     coefficient 1.
 
-    The generators are the symbols and the opaque applications (keyed by
-    their canonicalized arguments), sorted by ``default_sort_key``.  The
-    expression is folded into a numerator/denominator pair in sympy's
-    sparse ring QQ[generators] and cancelled once, at the end (not at all
-    when the denominator is a constant).  Any node outside the scalar
-    grammar, such as a Float or a non-integer power, raises TypeError.
+    One pass over ``e`` collects its generators: the symbols and the
+    opaque applications, keyed by their canonicalized arguments.  The same
+    pass recognizes an expanded polynomial, which is returned unchanged:
+    a Rational, a monomial (an optional leading Rational times positive
+    integer powers of normal generators), or a sum of monomials with
+    distinct generator powers.  A normal generator is a symbol, or an
+    opaque application whose arguments are their own canonical forms.
+    sympy's Add and Mul have already collected like terms and factors and
+    ordered them, so such an expression is exactly what the fold below
+    would build from it.
+
+    Anything else is folded, over the generators sorted by
+    ``default_sort_key``.  The expression is folded into a
+    numerator/denominator pair in sympy's sparse ring QQ[generators]: each
+    monomial becomes one ring term and the monomial terms of a sum are
+    added in one dictionary; only the other parts (sums inside products,
+    integer powers of sums, negative powers) use ring multiplication.  The
+    pair is cancelled once, at the end (not at all when the denominator is
+    a constant).  Any node outside the scalar grammar, such as a Float or
+    a non-integer power, raises TypeError.
     """
     e = sp.sympify(e)
     if e.is_Rational or e.is_Symbol:
         return e
     leaves: dict = {}
-    _leaves(e, leaves)
+    if _scan(e, leaves) <= _SUM:
+        return e
     gens = tuple(sorted(set(leaves.values()), key=_GENS_ORDER))
     ring = _ring(gens)
-    index = dict(zip(gens, ring.gens))
-    num, den = _fold(e, ring, {k: index[v] for k, v in leaves.items()})
+    position = {g: i for i, g in enumerate(gens)}
+    num, den = _fold(e, ring, {k: position[v] for k, v in leaves.items()})
     if not num:
         return ZERO
     if not den.is_ground:

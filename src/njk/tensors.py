@@ -78,10 +78,10 @@ def _sort_index(idx: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     return tuple(sorted(idx)), sign
 
 
-def _normalize_table(table: Mapping, canon: bool = True) -> dict:
+def _normalize_table(table: Mapping) -> dict:
     out = {}
     for key, c in table.items():
-        c = canonical(c) if canon else sp.sympify(c)
+        c = canonical(c)
         if c != 0:
             out[key] = c
     return out
@@ -92,10 +92,10 @@ class ScalarForm:
 
     __slots__ = ("chart", "degree", "table")
 
-    def __init__(self, chart: Chart, degree: int, table: Mapping | None = None, canon=True):
+    def __init__(self, chart: Chart, degree: int, table: Mapping | None = None):
         self.chart = chart
         self.degree = degree
-        self.table = _normalize_table(table or {}, canon)
+        self.table = _normalize_table(table or {})
 
     @staticmethod
     def function(chart: Chart, f: Scalar) -> "ScalarForm":
@@ -206,10 +206,10 @@ class VVForm:
 
     __slots__ = ("chart", "degree", "table")
 
-    def __init__(self, chart: Chart, degree: int, table: Mapping | None = None, canon=True):
+    def __init__(self, chart: Chart, degree: int, table: Mapping | None = None):
         self.chart = chart
         self.degree = degree
-        self.table = _normalize_table(table or {}, canon)
+        self.table = _normalize_table(table or {})
 
     # -- constructors -------------------------------------------------
 

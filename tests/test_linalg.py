@@ -1,6 +1,6 @@
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from njk import linalg
@@ -113,7 +113,6 @@ def reference_solve(matrix, rhs, zero_check=None):
     return sol
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MONOMIALS = (sp.Integer(1), x, y, x * y)
 PARAM = var("pa")
 
@@ -152,7 +151,6 @@ def _outcome(f, *args):
         return ("inconsistent", str(err))
 
 
-@PROPERTY
 @given(systems())
 def test_solver_matches_fresh_elimination(system):
     A, rhss = system
